@@ -8,6 +8,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "pe/platform.hh"
 
 namespace m3
@@ -67,27 +70,27 @@ BENCHMARK(BM_NocSend);
 void
 BM_DtuMessageRoundTrip(benchmark::State &state)
 {
+    // One machine for all iterations: only the message path is timed.
+    Simulator sim;
+    Platform platform(sim, PlatformSpec::generalPurpose(2));
+    Dtu &tx = platform.pe(0).dtu();
+    Dtu &rx = platform.pe(1).dtu();
+    RecvEpCfg ring;
+    ring.bufAddr = platform.pe(1).spm().alloc(4 * 128);
+    ring.slotCount = 4;
+    ring.slotSize = 128;
+    ring.replyProtected = true;
+    rx.configRecv(2, ring);
+    SendEpCfg send;
+    send.targetNode = 1;
+    send.targetEp = 2;
+    send.credits = CREDITS_UNLIMITED;
+    send.maxMsgSize = 128;
+    tx.configSend(2, send);
+    spmaddr_t msg = platform.pe(0).spm().alloc(64);
+
     for (auto _ : state) {
         state.PauseTiming();
-        Simulator sim;
-        Platform platform(sim, PlatformSpec::generalPurpose(2));
-        Dtu &tx = platform.pe(0).dtu();
-        Dtu &rx = platform.pe(1).dtu();
-        RecvEpCfg ring;
-        ring.bufAddr = platform.pe(1).spm().alloc(4 * 128);
-        ring.slotCount = 4;
-        ring.slotSize = 128;
-        ring.replyProtected = true;
-        rx.configRecv(2, ring);
-        SendEpCfg send;
-        send.targetNode = 1;
-        send.targetEp = 2;
-        send.credits = CREDITS_UNLIMITED;
-        send.maxMsgSize = 128;
-        tx.configSend(2, send);
-        spmaddr_t msg = platform.pe(0).spm().alloc(64);
-        state.ResumeTiming();
-
         sim.run("rx", [&] {
             for (int i = 0; i < 200; ++i) {
                 rx.waitForMsg(2);
@@ -102,6 +105,7 @@ BM_DtuMessageRoundTrip(benchmark::State &state)
                 tx.waitUntilIdle();
             }
         });
+        state.ResumeTiming();
         sim.simulate();
     }
     state.SetItemsProcessed(state.iterations() * 200);
@@ -112,20 +116,23 @@ void
 BM_DtuBulkTransfer(benchmark::State &state)
 {
     const size_t bytes = static_cast<size_t>(state.range(0));
+    // One machine for all iterations: only the transfers are timed.
+    Simulator sim;
+    Platform platform(sim, PlatformSpec::generalPurpose(1));
+    Dtu &dtu = platform.pe(0).dtu();
+    MemEpCfg mem;
+    mem.targetNode = platform.dramNode();
+    mem.offset = 0;
+    mem.size = 16 * MiB;
+    mem.perms = MEM_RW;
+    dtu.configMem(2, mem);
+    spmaddr_t buf = platform.pe(0).spm().alloc(16 * KiB);
+    // Back the range, so the reads copy real pages.
+    const std::vector<uint8_t> fill(bytes, 0x5a);
+    platform.dram().write(0, fill.data(), bytes);
+
     for (auto _ : state) {
         state.PauseTiming();
-        Simulator sim;
-        Platform platform(sim, PlatformSpec::generalPurpose(1));
-        Dtu &dtu = platform.pe(0).dtu();
-        MemEpCfg mem;
-        mem.targetNode = platform.dramNode();
-        mem.offset = 0;
-        mem.size = 16 * MiB;
-        mem.perms = MEM_RW;
-        dtu.configMem(2, mem);
-        spmaddr_t buf = platform.pe(0).spm().alloc(16 * KiB);
-        state.ResumeTiming();
-
         sim.run("xfer", [&] {
             size_t done = 0;
             while (done < bytes) {
@@ -135,6 +142,7 @@ BM_DtuBulkTransfer(benchmark::State &state)
                 done += chunk;
             }
         });
+        state.ResumeTiming();
         sim.simulate();
     }
     state.SetBytesProcessed(state.iterations() *

@@ -22,7 +22,7 @@ simClock(const void *ctx)
 
 } // anonymous namespace
 
-M3System::M3System(M3SystemCfg config) : cfg(std::move(config))
+M3System::M3System(const M3SystemCfg &config) : cfg(config)
 {
     if (cfg.withFs && cfg.fsInstances == 0)
         fatal("withFs requires at least one fs instance");
@@ -157,10 +157,10 @@ M3System::M3System(M3SystemCfg config) : cfg(std::move(config))
         if (striped) {
             // Stripe k's image at offset 0 of DRAM module k.
             images.push_back(std::make_unique<m3fs::FsImage>(
-                plat->dram(k), 0, cfg.fsSpec));
+                plat->dram(k), 0, config.fsSpec));
         } else {
             images.push_back(std::make_unique<m3fs::FsImage>(
-                plat->dram(), dramAllocStart, cfg.fsSpec));
+                plat->dram(), dramAllocStart, config.fsSpec));
             dramAllocStart += images.back()->sizeBytes();
         }
     }

@@ -22,8 +22,11 @@
 namespace m3
 {
 
-/** Configuration of a simulated M3 machine. */
-struct M3SystemCfg
+/**
+ * Configuration of a simulated M3 machine, apart from the contents of
+ * its filesystem image (see M3SystemCfg).
+ */
+struct M3MachineCfg
 {
     /** General-purpose application PEs (beyond kernel and fs PEs). */
     uint32_t appPes = 4;
@@ -50,8 +53,6 @@ struct M3SystemCfg
      * as "m3fs" (k = 0) or "m3fs<k>" and serves its own image.
      */
     uint32_t fsInstances = 1;
-    /** Content of the filesystem image(s) (replicated per instance). */
-    m3fs::FsImageSpec fsSpec;
     /** m3fs server parameters (append granularity etc.). */
     m3fs::ServerConfig fsCfg;
 
@@ -149,11 +150,22 @@ struct M3SystemCfg
     }
 };
 
+/** A machine configuration plus the filesystem image it boots with. */
+struct M3SystemCfg : M3MachineCfg
+{
+    /** Content of the filesystem image(s) (replicated per instance). */
+    m3fs::FsImageSpec fsSpec;
+};
+
 /** A booted M3 machine. */
 class M3System
 {
   public:
-    explicit M3System(M3SystemCfg cfg);
+    /**
+     * Build the machine. The images are built from @p cfg's spec here;
+     * the machine keeps no copy of the file contents.
+     */
+    explicit M3System(const M3SystemCfg &cfg);
 
     /** Unregisters the trace clock and, with metrics enabled, folds the
      *  machine's stats structs into the registry (exportMetrics()). */
@@ -241,7 +253,9 @@ class M3System
     void exportMetrics();
 
   private:
-    M3SystemCfg cfg;
+    /** The configuration, less the image contents (which can run to
+     *  hundreds of MiB and are read only while building the images). */
+    M3MachineCfg cfg;
     Simulator sim;
     std::unique_ptr<Platform> plat;
     std::unique_ptr<FaultPlan> faults;

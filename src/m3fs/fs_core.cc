@@ -1,5 +1,6 @@
 #include "m3fs/fs_core.hh"
 
+#include <algorithm>
 #include <cstring>
 #include <set>
 
@@ -9,6 +10,18 @@ namespace m3
 {
 namespace m3fs
 {
+
+void
+BlockAccess::zero(goff_t off, size_t len)
+{
+    static const uint8_t zeros[4096] = {};
+    while (len) {
+        const size_t n = std::min(len, sizeof(zeros));
+        write(off, zeros, n);
+        off += n;
+        len -= n;
+    }
+}
 
 FsCore::FsCore(BlockAccess &access) : ba(access)
 {
@@ -42,10 +55,7 @@ FsCore::format(BlockAccess &access, uint32_t totalBlocks,
         fatal("m3fs format: metadata exceeds %u blocks", totalBlocks);
 
     // Zero all metadata blocks.
-    std::vector<uint8_t> zero(blockSize, 0);
-    for (blockno_t b = 0; b < sb.dataStart; ++b)
-        access.write(static_cast<goff_t>(b) * blockSize, zero.data(),
-                     blockSize);
+    access.zero(0, static_cast<goff_t>(sb.dataStart) * blockSize);
 
     access.write(0, &sb, sizeof(sb));
 

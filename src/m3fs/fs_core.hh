@@ -34,6 +34,10 @@ class BlockAccess
 
     /** Write @p len bytes at image offset @p off. */
     virtual void write(goff_t off, const void *src, size_t len) = 0;
+
+    /** Set @p len bytes at image offset @p off to zero (by default,
+     *  by writing zeros). */
+    virtual void zero(goff_t off, size_t len);
 };
 
 /** Result of a path resolution. */

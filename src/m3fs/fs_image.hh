@@ -40,6 +40,12 @@ class DramAccess : public BlockAccess
         dram.write(base + off, src, len);
     }
 
+    void
+    zero(goff_t off, size_t len) override
+    {
+        dram.zero(base + off, len);
+    }
+
   private:
     Dram &dram;
     goff_t base;

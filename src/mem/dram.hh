@@ -4,15 +4,22 @@
  * that all PEs share (Sec. 4.1: Tomahawk has one DRAM module). m3fs keeps
  * the filesystem image here, pipes keep their ringbuffers here, and
  * applications obtain regions of it via memory capabilities.
+ *
+ * Software reaches the module only through DTU memory endpoints, so the
+ * host backs only what was written: the module is a table of 64 KiB
+ * pages allocated on first write. Each page has a valid frontier; bytes
+ * at or past it read as zero, whatever the page memory holds. Sequential
+ * first writes therefore never zero-fill, and zeroing a page's tail only
+ * lowers its frontier. Simulated timing comes from accessLatency() and
+ * the NoC alone, so the backing store never changes a cycle.
  */
 
 #ifndef M3_MEM_DRAM_HH
 #define M3_MEM_DRAM_HH
 
-#include <cstring>
-#include <memory>
+#include <mutex>
+#include <vector>
 
-#include "base/logging.hh"
 #include "base/types.hh"
 #include "mem/mem_target.hh"
 
@@ -23,61 +30,59 @@ namespace m3
 class Dram : public MemTarget
 {
   public:
+    /** Host allocation granule of the backing store. */
+    static constexpr size_t PAGE_BYTES = 64 * KiB;
+
     /**
      * @param bytes capacity
      * @param latency fixed access latency per request, in cycles
+     * @param concurrent serialize accesses with a lock, for sharded
+     *        engines whose threads may reach one module at once
      */
-    Dram(size_t bytes, Cycles latency)
-        : bytes(bytes), latency(latency), data(new uint8_t[bytes])
-    {
-        std::memset(data.get(), 0, bytes);
-    }
+    Dram(size_t bytes, Cycles latency, bool concurrent = false);
+
+    /** Hands the pages to the process-wide free list. */
+    ~Dram() override;
+
+    Dram(const Dram &) = delete;
+    Dram &operator=(const Dram &) = delete;
 
     size_t size() const override { return bytes; }
 
-    void
-    read(goff_t off, void *dst, size_t len) override
-    {
-        check(off, len);
-        std::memcpy(dst, data.get() + off, len);
-    }
-
-    void
-    write(goff_t off, const void *src, size_t len) override
-    {
-        check(off, len);
-        std::memcpy(data.get() + off, src, len);
-    }
-
-    void
-    zero(goff_t off, size_t len) override
-    {
-        check(off, len);
-        std::memset(data.get() + off, 0, len);
-    }
+    void read(goff_t off, void *dst, size_t len) override;
+    void write(goff_t off, const void *src, size_t len) override;
+    void zero(goff_t off, size_t len) override;
 
     Cycles accessLatency() const override { return latency; }
 
-    /** Direct pointer for functional inspection in tests. */
-    const uint8_t *
-    inspect(goff_t off, size_t len) const
-    {
-        check(off, len);
-        return data.get() + off;
-    }
+    /**
+     * A copy of @p len bytes at @p off, for functional inspection in
+     * tests. Valid until the next inspect() call on this module.
+     */
+    const uint8_t *inspect(goff_t off, size_t len) const;
+
+    /** Host bytes currently backing the module (whole pages). */
+    size_t residentBytes() const;
 
   private:
-    void
-    check(goff_t off, size_t len) const
+    /** A backing page; bytes at or past @c valid read as zero. */
+    struct Page
     {
-        if (off > bytes || len > bytes - off)
-            panic("DRAM access out of bounds: %llu + %zu > %zu",
-                  static_cast<unsigned long long>(off), len, bytes);
-    }
+        uint8_t *data = nullptr;
+        uint32_t valid = 0;
+    };
+
+    void check(goff_t off, size_t len) const;
+    void copyOut(goff_t off, uint8_t *dst, size_t len) const;
+    std::unique_lock<std::mutex> guard() const;
 
     size_t bytes;
     Cycles latency;
-    std::unique_ptr<uint8_t[]> data;
+    bool concurrent;
+    std::vector<Page> pages;
+    size_t allocated = 0;  //!< pages with backing memory
+    mutable std::mutex lock;
+    mutable std::vector<uint8_t> inspectBuf;
 };
 
 } // namespace m3

@@ -31,17 +31,21 @@ echo "=== test build-asan (-L slow: sanitized invariant/fuzz suite)"
 ctest --test-dir build-asan -j "$jobs" --output-on-failure -L slow
 
 # Parallel-engine gate under TSan: the sharded engine's cross-thread
-# hand-offs (inbox posts, barrier windows, atomic metric cells) must be
-# race-free. TSan selects the ucontext fiber fallback automatically, so
-# the full-machine test drives real fibers on worker threads. Only the
+# hand-offs (inbox posts, barrier windows, atomic metric cells) and the
+# DRAM page free list and module locks must be race-free. TSan selects
+# the ucontext fiber fallback automatically, so the full-machine tests
+# drive real fibers on worker threads: one 4-domain machine sharing a
+# DRAM module, one striped machine with a module per stripe. Only the
 # parallel suites run here — the rest of the tree is single-threaded
 # and covered by the ASan pass.
 echo "=== parallel engine under TSan"
 cmake -B build-tsan -S . -DM3_SANITIZE=thread
-cmake --build build-tsan -j "$jobs" --target test_shards test_determinism
+cmake --build build-tsan -j "$jobs" --target test_shards test_determinism \
+    test_mem
 ./build-tsan/tests/test_shards
+./build-tsan/tests/test_mem
 ./build-tsan/tests/test_determinism \
-    --gtest_filter='Determinism.ThreadCountInvariant'
+    --gtest_filter='Determinism.ThreadCountInvariant:Determinism.DistfsThreadCountInvariant'
 
 # Observability smoke: a traced micro-benchmark must emit a well-formed
 # Chrome trace containing every phase the exporter produces (span B/E,
