@@ -89,25 +89,29 @@ BM_DtuMessageRoundTrip(benchmark::State &state)
     tx.configSend(2, send);
     spmaddr_t msg = platform.pe(0).spm().alloc(64);
 
-    for (auto _ : state) {
-        state.PauseTiming();
-        sim.run("rx", [&] {
-            for (int i = 0; i < 200; ++i) {
-                rx.waitForMsg(2);
-                int slot = rx.fetchMsg(2);
-                rx.ackMsg(2, static_cast<uint32_t>(slot));
-            }
-        });
-        sim.run("tx", [&] {
-            for (int i = 0; i < 200; ++i) {
-                while (tx.startSend(2, msg, 64) != Error::None)
-                    Fiber::current()->sleep(10);
-                tx.waitUntilIdle();
-            }
-        });
-        state.ResumeTiming();
-        sim.simulate();
-    }
+    // The fibers live across iterations, so the timed loop runs inside
+    // the sender; the final message wakes the receiver to see `done`.
+    bool done = false;
+    sim.run("rx", [&] {
+        while (!done) {
+            rx.waitForMsg(2);
+            int slot = rx.fetchMsg(2);
+            rx.ackMsg(2, static_cast<uint32_t>(slot));
+        }
+    });
+    auto sendOne = [&] {
+        while (tx.startSend(2, msg, 64) != Error::None)
+            Fiber::current()->sleep(10);
+        tx.waitUntilIdle();
+    };
+    sim.run("tx", [&] {
+        for (auto _ : state)
+            for (int i = 0; i < 200; ++i)
+                sendOne();
+        done = true;
+        sendOne();
+    });
+    sim.simulate();
     state.SetItemsProcessed(state.iterations() * 200);
 }
 BENCHMARK(BM_DtuMessageRoundTrip);
@@ -131,9 +135,9 @@ BM_DtuBulkTransfer(benchmark::State &state)
     const std::vector<uint8_t> fill(bytes, 0x5a);
     platform.dram().write(0, fill.data(), bytes);
 
-    for (auto _ : state) {
-        state.PauseTiming();
-        sim.run("xfer", [&] {
+    // The fiber lives across iterations, so the timed loop runs inside it.
+    sim.run("xfer", [&] {
+        for (auto _ : state) {
             size_t done = 0;
             while (done < bytes) {
                 size_t chunk = std::min<size_t>(16 * KiB, bytes - done);
@@ -141,10 +145,9 @@ BM_DtuBulkTransfer(benchmark::State &state)
                 dtu.waitUntilIdle();
                 done += chunk;
             }
-        });
-        state.ResumeTiming();
-        sim.simulate();
-    }
+        }
+    });
+    sim.simulate();
     state.SetBytesProcessed(state.iterations() *
                             static_cast<int64_t>(bytes));
 }

@@ -1,34 +1,22 @@
 #include "m3fs/fs_core.hh"
 
-#include <algorithm>
 #include <cstring>
 #include <set>
 
 #include "base/logging.hh"
+#include "m3fs/fs_image.hh"
 
 namespace m3
 {
 namespace m3fs
 {
 
-void
-BlockAccess::zero(goff_t off, size_t len)
-{
-    static const uint8_t zeros[4096] = {};
-    while (len) {
-        const size_t n = std::min(len, sizeof(zeros));
-        write(off, zeros, n);
-        off += n;
-        len -= n;
-    }
-}
-
 FsCore::FsCore(BlockAccess &access) : ba(access)
 {
 }
 
 void
-FsCore::format(BlockAccess &access, uint32_t totalBlocks,
+FsCore::format(DramAccess &access, uint32_t totalBlocks,
                uint32_t totalInodes, uint32_t blockSize)
 {
     auto blocksFor = [&](uint64_t bytes) {

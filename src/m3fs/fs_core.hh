@@ -23,6 +23,8 @@ namespace m3
 namespace m3fs
 {
 
+class DramAccess;
+
 /** Byte-granular access to the filesystem image. */
 class BlockAccess
 {
@@ -34,10 +36,6 @@ class BlockAccess
 
     /** Write @p len bytes at image offset @p off. */
     virtual void write(goff_t off, const void *src, size_t len) = 0;
-
-    /** Set @p len bytes at image offset @p off to zero (by default,
-     *  by writing zeros). */
-    virtual void zero(goff_t off, size_t len);
 };
 
 /** Result of a path resolution. */
@@ -55,8 +53,8 @@ class FsCore
   public:
     explicit FsCore(BlockAccess &access);
 
-    /** Format a fresh filesystem. */
-    static void format(BlockAccess &access, uint32_t totalBlocks,
+    /** Format a fresh filesystem in a DRAM image. */
+    static void format(DramAccess &access, uint32_t totalBlocks,
                        uint32_t totalInodes,
                        uint32_t blockSize = DEFAULT_BLOCK_SIZE);
 

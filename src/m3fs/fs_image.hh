@@ -40,8 +40,9 @@ class DramAccess : public BlockAccess
         dram.write(base + off, src, len);
     }
 
+    /** Set @p len bytes at image offset @p off to zero. */
     void
-    zero(goff_t off, size_t len) override
+    zero(goff_t off, size_t len)
     {
         dram.zero(base + off, len);
     }

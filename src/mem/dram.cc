@@ -55,8 +55,8 @@ takePage()
 
 } // anonymous namespace
 
-Dram::Dram(size_t bytes, Cycles latency, bool concurrent)
-    : bytes(bytes), latency(latency), concurrent(concurrent),
+Dram::Dram(size_t bytes, Cycles latency)
+    : bytes(bytes), latency(latency),
       pages((bytes + PAGE_BYTES - 1) / PAGE_BYTES)
 {
     // Construct the free list first so it outlives every module.
@@ -76,7 +76,7 @@ void
 Dram::read(goff_t off, void *dst, size_t len)
 {
     check(off, len);
-    auto g = guard();
+    std::lock_guard<std::mutex> g(lock);
     copyOut(off, static_cast<uint8_t *>(dst), len);
 }
 
@@ -84,7 +84,7 @@ void
 Dram::write(goff_t off, const void *src, size_t len)
 {
     check(off, len);
-    auto g = guard();
+    std::lock_guard<std::mutex> g(lock);
     const uint8_t *in = static_cast<const uint8_t *>(src);
     while (len) {
         Page &p = pages[off / PAGE_BYTES];
@@ -108,7 +108,7 @@ void
 Dram::zero(goff_t off, size_t len)
 {
     check(off, len);
-    auto g = guard();
+    std::lock_guard<std::mutex> g(lock);
     while (len) {
         Page &p = pages[off / PAGE_BYTES];
         const size_t at = off % PAGE_BYTES;
@@ -126,7 +126,7 @@ const uint8_t *
 Dram::inspect(goff_t off, size_t len) const
 {
     check(off, len);
-    auto g = guard();
+    std::lock_guard<std::mutex> g(lock);
     inspectBuf.resize(len);
     copyOut(off, inspectBuf.data(), len);
     return inspectBuf.data();
@@ -135,7 +135,7 @@ Dram::inspect(goff_t off, size_t len) const
 size_t
 Dram::residentBytes() const
 {
-    auto g = guard();
+    std::lock_guard<std::mutex> g(lock);
     return allocated * PAGE_BYTES;
 }
 
@@ -163,13 +163,6 @@ Dram::copyOut(goff_t off, uint8_t *dst, size_t len) const
         off += n;
         len -= n;
     }
-}
-
-std::unique_lock<std::mutex>
-Dram::guard() const
-{
-    return concurrent ? std::unique_lock<std::mutex>(lock)
-                      : std::unique_lock<std::mutex>();
 }
 
 } // namespace m3

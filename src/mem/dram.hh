@@ -36,10 +36,8 @@ class Dram : public MemTarget
     /**
      * @param bytes capacity
      * @param latency fixed access latency per request, in cycles
-     * @param concurrent serialize accesses with a lock, for sharded
-     *        engines whose threads may reach one module at once
      */
-    Dram(size_t bytes, Cycles latency, bool concurrent = false);
+    Dram(size_t bytes, Cycles latency);
 
     /** Hands the pages to the process-wide free list. */
     ~Dram() override;
@@ -74,13 +72,14 @@ class Dram : public MemTarget
 
     void check(goff_t off, size_t len) const;
     void copyOut(goff_t off, uint8_t *dst, size_t len) const;
-    std::unique_lock<std::mutex> guard() const;
 
     size_t bytes;
     Cycles latency;
-    bool concurrent;
     std::vector<Page> pages;
     size_t allocated = 0;  //!< pages with backing memory
+    /** Serializes accesses: on a sharded engine, spun transfers reach
+     *  one module from several threads, and the frontier couples
+     *  disjoint ranges of a page. */
     mutable std::mutex lock;
     mutable std::vector<uint8_t> inspectBuf;
 };

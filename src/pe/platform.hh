@@ -61,13 +61,9 @@ class Platform
                                      meshRowsFor(spec)))
     {
         uint32_t modules = std::max<uint32_t>(1, spec.dramModules);
-        // Spun transfers (CostModel::spinDataTransfers) reach a module
-        // directly from the initiating PE's shard, so on a sharded
-        // engine several threads may access one module at once.
         for (uint32_t m = 0; m < modules; ++m)
             dramMems.push_back(std::make_unique<Dram>(
-                spec.dramBytes, spec.costs.hw.dramLatency,
-                sim.shardCount() > 1));
+                spec.dramBytes, spec.costs.hw.dramLatency));
         // On a sharded engine the mesh must know the shard map before
         // any PE (and thus any DTU) can inject packets.
         if (sim.shardCount() > 1)

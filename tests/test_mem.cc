@@ -191,9 +191,9 @@ TEST(DramDeathTest, OutOfBoundsPanics)
 TEST(Dram, ConcurrentModulesShareTheFreeList)
 {
     // Engine threads of a sharded machine: each churns its own modules
-    // through the free list while all of them also write one shared,
-    // lock-guarded module at disjoint offsets within the same pages.
-    Dram shared(4 * PAGE, 1, true);
+    // through the free list while all of them also write one shared
+    // module at disjoint offsets within the same pages.
+    Dram shared(4 * PAGE, 1);
     constexpr int THREADS = 4;
     std::vector<std::thread> threads;
     for (int t = 0; t < THREADS; ++t) {
